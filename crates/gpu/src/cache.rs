@@ -32,15 +32,15 @@ impl CacheStats {
     }
 }
 
-/// One cache way: a tag plus an LRU timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    tag: u64,
-    last_used: u64,
-    valid: bool,
-}
-
 /// A set-associative, write-allocate, LRU cache over byte addresses.
+///
+/// Tag state is two flat, set-major arrays: the resident line number of
+/// every way and its LRU stamp (the access clock at its last use). Stamp 0
+/// marks an empty way — the clock is at least 1 once anything is filled —
+/// so a miss fills the first way with the smallest stamp: the first empty
+/// way, else the least recently used. Line size and set count are powers
+/// of two, so the line is a shift and the set a mask; the stored tag is
+/// the whole line number.
 ///
 /// ```
 /// use patu_gpu::Cache;
@@ -51,9 +51,11 @@ struct Way {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
-    sets: Vec<Vec<Way>>,
-    num_sets: u64,
-    line_size: u64,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    ways: usize,
+    line_shift: u32,
+    set_mask: u64,
     clock: u64,
     stats: CacheStats,
 }
@@ -64,9 +66,10 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero or `size_bytes` is not divisible into
-    /// at least one full set (`ways * line_size`). Use [`Cache::try_new`]
-    /// for a non-panicking variant.
+    /// Panics if any parameter is zero, `size_bytes` is not divisible into
+    /// at least one full set (`ways * line_size`), or the line size or set
+    /// count is not a power of two. Use [`Cache::try_new`] for a
+    /// non-panicking variant.
     pub fn new(size_bytes: u64, ways: u32, line_size: u64) -> Cache {
         assert!(
             size_bytes > 0 && ways > 0 && line_size > 0,
@@ -74,20 +77,17 @@ impl Cache {
         );
         let num_sets = size_bytes / (u64::from(ways) * line_size);
         assert!(num_sets > 0, "cache too small for its associativity");
+        assert!(
+            line_size.is_power_of_two() && num_sets.is_power_of_two(),
+            "cache line size and set count must be powers of two"
+        );
+        let slots = (num_sets * u64::from(ways)) as usize;
         Cache {
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        last_used: 0,
-                        valid: false
-                    };
-                    ways as usize
-                ];
-                num_sets as usize
-            ],
-            num_sets,
-            line_size,
+            tags: vec![0; slots],
+            stamps: vec![0; slots],
+            ways: ways as usize,
+            line_shift: line_size.trailing_zeros(),
+            set_mask: num_sets - 1,
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -104,7 +104,8 @@ impl Cache {
         if size_bytes == 0 || ways == 0 || line_size == 0 {
             return Err(err);
         }
-        if size_bytes / (u64::from(ways) * line_size) == 0 {
+        let num_sets = size_bytes / (u64::from(ways) * line_size);
+        if num_sets == 0 || !num_sets.is_power_of_two() || !line_size.is_power_of_two() {
             return Err(err);
         }
         Ok(Cache::new(size_bytes, ways, line_size))
@@ -112,51 +113,59 @@ impl Cache {
 
     /// Number of sets.
     pub fn num_sets(&self) -> u64 {
-        self.num_sets
+        self.set_mask + 1
     }
 
     /// Line size in bytes.
     pub fn line_size(&self) -> u64 {
-        self.line_size
+        1 << self.line_shift
+    }
+
+    /// The line number of `addr` and the index of its set's first way.
+    #[inline]
+    fn locate(&self, addr: TexelAddress) -> (u64, usize) {
+        let line = addr.as_u64() >> self.line_shift;
+        (line, (line & self.set_mask) as usize * self.ways)
+    }
+
+    /// Slot of the resident way holding `line` in the set starting at
+    /// `base`, if any.
+    #[inline]
+    fn find(&self, line: u64, base: usize) -> Option<usize> {
+        (base..base + self.ways).find(|&i| self.tags[i] == line && self.stamps[i] != 0)
     }
 
     /// Looks up (and on miss, fills) the line containing `addr`.
     /// Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, addr: TexelAddress) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
-        let line = addr.cache_line(self.line_size);
-        let set_idx = (line % self.num_sets) as usize;
-        let tag = line / self.num_sets;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.last_used = self.clock;
+        let (line, base) = self.locate(addr);
+        if let Some(i) = self.find(line, base) {
+            self.stamps[i] = self.clock;
             self.stats.hits += 1;
             return true;
         }
 
-        // Miss: fill the LRU (or first invalid) way. Sets are non-empty by
-        // `try_new`'s geometry validation; if that were ever violated the
-        // miss is still reported, just without a fill.
-        if let Some(victim) = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_used } else { 0 })
-        {
-            victim.tag = tag;
-            victim.valid = true;
-            victim.last_used = self.clock;
+        // Miss: fill the first way with the smallest stamp (an empty way
+        // has stamp 0, so empties go first, then the LRU way).
+        let mut victim = base;
+        for i in base + 1..base + self.ways {
+            if self.stamps[i] < self.stamps[victim] {
+                victim = i;
+            }
         }
+        self.tags[victim] = line;
+        self.stamps[victim] = self.clock;
         false
     }
 
     /// Whether the line containing `addr` is currently resident (no state
     /// change, no stats update).
     pub fn probe(&self, addr: TexelAddress) -> bool {
-        let line = addr.cache_line(self.line_size);
-        let set_idx = (line % self.num_sets) as usize;
-        let tag = line / self.num_sets;
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        let (line, base) = self.locate(addr);
+        self.find(line, base).is_some()
     }
 
     /// Invalidates the line containing `addr` if resident, returning
@@ -164,14 +173,9 @@ impl Cache {
     /// corrupted line cannot be served, so the next access refills it from
     /// the level below (keeping hit/miss accounting consistent).
     pub fn invalidate_line(&mut self, addr: TexelAddress) -> bool {
-        let line = addr.cache_line(self.line_size);
-        let set_idx = (line % self.num_sets) as usize;
-        let tag = line / self.num_sets;
-        if let Some(way) = self.sets[set_idx]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
-            way.valid = false;
+        let (line, base) = self.locate(addr);
+        if let Some(i) = self.find(line, base) {
+            self.stamps[i] = 0;
             return true;
         }
         false
@@ -184,11 +188,7 @@ impl Cache {
 
     /// Invalidates all lines and clears statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                way.valid = false;
-            }
-        }
+        self.stamps.fill(0);
         self.clock = 0;
         self.stats = CacheStats::default();
     }
@@ -305,6 +305,28 @@ mod tests {
         assert!(Cache::try_new(1024, 0, 64).is_err());
         assert!(Cache::try_new(1024, 4, 0).is_err());
         assert!(Cache::try_new(1024, 4, 64).is_ok());
+    }
+
+    #[test]
+    fn try_new_rejects_non_power_of_two_geometry() {
+        // 3 sets of 2 × 64 B.
+        assert!(matches!(
+            Cache::try_new(3 * 2 * 64, 2, 64),
+            Err(crate::GpuError::InvalidCacheGeometry { .. })
+        ));
+        // 48-byte lines, 8 sets.
+        assert!(matches!(
+            Cache::try_new(8 * 2 * 48, 2, 48),
+            Err(crate::GpuError::InvalidCacheGeometry { .. })
+        ));
+        // Non-power-of-two associativity is fine: 3 ways × 8 sets.
+        assert_eq!(Cache::try_new(8 * 3 * 64, 3, 64).unwrap().num_sets(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_sets_panic() {
+        let _ = Cache::new(6 * 64, 2, 64);
     }
 
     #[test]

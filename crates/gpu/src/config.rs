@@ -115,20 +115,25 @@ impl GpuConfig {
     /// share of the L2, and a `1/N` subset of the DRAM channels with the
     /// per-channel bandwidth preserved (so an isolated cluster sees the same
     /// transfer occupancy it would on the shared bus). Shares are clamped so
-    /// a valid full configuration always yields a valid shard. The fidelity
-    /// trade-off (no inter-cluster L2 sharing or channel contention) is
-    /// documented in DESIGN.md §"Parallel execution model".
+    /// a valid full configuration always yields a valid shard: the L2 share
+    /// holds at least one set and is rounded down to a power-of-two set
+    /// count, as [`crate::Cache`] requires (a no-op whenever the cluster
+    /// count is a power of two, e.g. Table I's 4). The fidelity trade-off
+    /// (no inter-cluster L2 sharing or channel contention) is documented in
+    /// DESIGN.md §"Parallel execution model".
     #[must_use]
     pub fn cluster_shard(&self) -> GpuConfig {
         let n = u64::from(self.clusters.max(1));
-        let min_l2 = (self.cache_line_bytes * u64::from(self.tex_l2_ways)).max(1);
+        let set_bytes = (self.cache_line_bytes * u64::from(self.tex_l2_ways)).max(1);
+        let sets = (self.tex_l2_bytes / n / set_bytes).max(1);
+        let l2_bytes = set_bytes << sets.ilog2();
         let channels = (self.dram_channels / self.clusters.max(1)).max(1);
         let bytes_per_cycle = (u64::from(self.dram_bytes_per_cycle) * u64::from(channels)
             / u64::from(self.dram_channels.max(1)))
         .max(1) as u32;
         GpuConfig {
             clusters: 1,
-            tex_l2_bytes: (self.tex_l2_bytes / n).max(min_l2),
+            tex_l2_bytes: l2_bytes,
             dram_channels: channels,
             dram_bytes_per_cycle: bytes_per_cycle,
             ..*self
@@ -265,6 +270,24 @@ mod tests {
         };
         let shard = tiny.cluster_shard();
         assert_eq!(shard.tex_l2_bytes, 64 * 8);
+    }
+
+    #[test]
+    fn cluster_shard_rounds_l2_down_to_power_of_two_sets() {
+        // 128 KB over 3 clusters is 42.67 KB: 85 sets of 8 × 64 B, rounded
+        // down to 64 sets.
+        let three = GpuConfig {
+            clusters: 3,
+            ..GpuConfig::default()
+        };
+        let shard = three.cluster_shard();
+        assert_eq!(shard.tex_l2_bytes, 64 * 8 * 64);
+        assert!(crate::MemorySystem::try_new(&shard).is_ok());
+        // Table I's 4 clusters: the plain quarter, already 64 sets.
+        assert_eq!(
+            GpuConfig::default().cluster_shard().tex_l2_bytes,
+            128 * 1024 / 4
+        );
     }
 
     #[test]

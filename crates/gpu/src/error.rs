@@ -10,7 +10,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum GpuError {
     /// A cache cannot be built from the given geometry: every parameter
-    /// must be positive and `size_bytes` must hold at least one full set.
+    /// must be positive, `size_bytes` must hold at least one full set, and
+    /// the line size and set count must be powers of two.
     InvalidCacheGeometry {
         /// Requested capacity in bytes.
         size_bytes: u64,
@@ -45,8 +46,9 @@ impl fmt::Display for GpuError {
             } => write!(
                 f,
                 "invalid cache geometry: {size_bytes} bytes, {ways} ways, \
-                 {line_size}-byte lines (need positive parameters and at \
-                 least one full set)"
+                 {line_size}-byte lines (need positive parameters, at \
+                 least one full set, and power-of-two line size and set \
+                 count)"
             ),
             GpuError::ClusterOutOfRange { cluster, clusters } => {
                 write!(f, "cluster {cluster} out of range (have {clusters})")

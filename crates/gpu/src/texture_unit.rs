@@ -115,9 +115,6 @@ impl TextureUnit {
         mem: &mut MemorySystem,
         now: u64,
     ) -> RequestTiming {
-        let taps = req.tap_count() as u64;
-        let texels = req.texel_count() as u64;
-
         // Address ALUs compute one tap's 8 addresses per loop (Sec. V-B):
         // ceil(8 / address_alus) cycles per tap.
         let addr_cycles = req
@@ -125,22 +122,75 @@ impl TextureUnit {
             .iter()
             .map(|t| (t.len() as u64).div_ceil(self.address_alus))
             .sum::<u64>();
+        self.issue(
+            req.taps.iter().flatten().copied(),
+            req.tap_count() as u64,
+            req.texel_count() as u64,
+            addr_cycles,
+            mem,
+            now,
+        )
+    }
 
+    /// Flat-layout form of [`TextureUnit::process`] for the batched
+    /// fragment path: `taps` trilinear taps whose addresses lie contiguous
+    /// in `addresses`, every tap the same width (`addresses.len() / taps` —
+    /// 8 for trilinear taps; the batched filter kernel produces exactly this
+    /// layout). Bit-identical to building the equivalent [`TextureRequest`]
+    /// and calling `process`: both run the same issue routine with the same
+    /// per-tap address cycles.
+    pub fn process_flat(
+        &mut self,
+        addresses: &[TexelAddress],
+        taps: u64,
+        mem: &mut MemorySystem,
+        now: u64,
+    ) -> RequestTiming {
+        let texels = addresses.len() as u64;
+        let per_tap = texels.checked_div(taps).unwrap_or(0);
+        debug_assert_eq!(per_tap * taps, texels, "uniform tap width");
+        let addr_cycles = taps * per_tap.div_ceil(self.address_alus);
+        self.issue(
+            addresses.iter().copied(),
+            taps,
+            texels,
+            addr_cycles,
+            mem,
+            now,
+        )
+    }
+
+    /// The pipeline model shared by [`TextureUnit::process`] and
+    /// [`TextureUnit::process_flat`]: fetches `addresses` (`texels` of them,
+    /// in issue order) for a request of `taps` trilinear taps whose address
+    /// calculation takes `addr_cycles`, then updates the pipeline state.
+    fn issue(
+        &mut self,
+        addresses: impl Iterator<Item = TexelAddress>,
+        taps: u64,
+        texels: u64,
+        addr_cycles: u64,
+        mem: &mut MemorySystem,
+        now: u64,
+    ) -> RequestTiming {
         let start = now.max(self.busy_until);
         if self.telemetry {
             self.queue_wait_hist.record(start - now);
         }
 
         // Texel fetches issue `fetch_ports` per cycle; the request waits for
-        // the slowest outstanding fetch.
+        // the slowest outstanding fetch. The issue slot advances once per
+        // `fetch_ports` fetches.
         let mut fetch_latency = 0u64;
-        let mut issued = 0u64;
-        for tap in &req.taps {
-            for &addr in tap {
-                let issue_offset = addr_cycles + issued / self.fetch_ports;
-                let lat = mem.fetch_texel(self.cluster, addr, start + issue_offset);
-                fetch_latency = fetch_latency.max(issue_offset + lat);
-                issued += 1;
+        let mut issue_offset = addr_cycles;
+        let mut in_slot = 0u64;
+        for addr in addresses {
+            let lat = mem.fetch_texel(self.cluster, addr, start + issue_offset);
+            fetch_latency = fetch_latency.max(issue_offset + lat);
+            in_slot += 1;
+            if in_slot == self.fetch_ports {
+                in_slot = 0;
+                issue_offset += 1;
             }
         }
 
@@ -162,61 +212,6 @@ impl TextureUnit {
         self.events.address_calc_ops += texels;
 
         // Results return in request order, like the hardware pipeline.
-        let completion = (start + latency).max(self.last_completion);
-        self.last_completion = completion;
-
-        RequestTiming {
-            latency: completion - now,
-            completion,
-        }
-    }
-
-    /// Flat-layout form of [`TextureUnit::process`] for the batched
-    /// fragment path: `taps` trilinear taps whose addresses lie contiguous
-    /// in `addresses`, every tap the same width (`addresses.len() / taps` —
-    /// 8 for trilinear taps; the batched filter kernel produces exactly this
-    /// layout). Bit-identical to building the equivalent [`TextureRequest`]
-    /// and calling `process`: same per-tap address cycles, same fetch issue
-    /// order and offsets, same pipeline-occupancy updates.
-    pub fn process_flat(
-        &mut self,
-        addresses: &[TexelAddress],
-        taps: u64,
-        mem: &mut MemorySystem,
-        now: u64,
-    ) -> RequestTiming {
-        let texels = addresses.len() as u64;
-        let per_tap = texels.checked_div(taps).unwrap_or(0);
-        debug_assert_eq!(per_tap * taps, texels, "uniform tap width");
-
-        let addr_cycles = taps * per_tap.div_ceil(self.address_alus);
-
-        let start = now.max(self.busy_until);
-        if self.telemetry {
-            self.queue_wait_hist.record(start - now);
-        }
-
-        let mut fetch_latency = 0u64;
-        for (issued, &addr) in addresses.iter().enumerate() {
-            let issue_offset = addr_cycles + issued as u64 / self.fetch_ports;
-            let lat = mem.fetch_texel(self.cluster, addr, start + issue_offset);
-            fetch_latency = fetch_latency.max(issue_offset + lat);
-        }
-
-        let filter_cycles = taps * self.cycles_per_trilinear;
-        let latency = addr_cycles + fetch_latency + filter_cycles;
-        if self.telemetry {
-            self.attrib_work_cycles += addr_cycles + filter_cycles;
-        }
-
-        let issue_cycles = texels.div_ceil(self.fetch_ports.max(1));
-        let bottleneck = addr_cycles.max(filter_cycles).max(issue_cycles).max(1);
-        let occupancy = bottleneck.div_ceil(QUAD_PIPELINES);
-        self.busy_until = start + occupancy.max(1);
-
-        self.events.trilinear_ops += taps;
-        self.events.address_calc_ops += texels;
-
         let completion = (start + latency).max(self.last_completion);
         self.last_completion = completion;
 
@@ -387,6 +382,24 @@ mod tests {
             "attribution taps agree between scalar and flat paths"
         );
         assert!(tu_a.attrib_work_cycles() > 0);
+    }
+
+    #[test]
+    fn fetch_issue_slot_advances_every_fetch_ports_fetches() {
+        // One 9-texel tap, every texel already in L1: with 4 fetch ports
+        // the fetches issue in slots 0,0,0,0,1,1,1,1,2 after the
+        // ceil(9/4) = 3 address cycles, so the last returns at 3 + 2 + 1.
+        let (mut tu, mut mem) = unit();
+        let addrs: Vec<TexelAddress> = (0..9).map(|i| TexelAddress::new(i * 4)).collect();
+        for &a in &addrs {
+            let _ = mem.fetch_texel(0, a, 0);
+        }
+        let t = tu.process_flat(&addrs, 1, &mut mem, 0);
+        let cfg = GpuConfig::default();
+        assert_eq!(cfg.address_alus, 4);
+        let (addr_cycles, fetch_latency) = (3, 3 + 2 + cfg.l1_hit_cycles);
+        let filter_cycles = u64::from(cfg.cycles_per_trilinear);
+        assert_eq!(t.latency, addr_cycles + fetch_latency + filter_cycles);
     }
 
     #[test]

@@ -69,6 +69,155 @@ fn bigger_cache_never_fewer_hits_on_repeat_pass() {
     }
 }
 
+/// The nested-`Vec` LRU cache the flat [`Cache`] replaced, kept verbatim
+/// (division-based set/tag split, per-way valid bit, `min_by_key` victim)
+/// as the reference model for the oracle sweep below.
+mod reference {
+    use patu_gpu::CacheStats;
+    use patu_texture::TexelAddress;
+
+    #[derive(Clone, Copy)]
+    struct Way {
+        tag: u64,
+        last_used: u64,
+        valid: bool,
+    }
+
+    pub struct NestedLruCache {
+        sets: Vec<Vec<Way>>,
+        num_sets: u64,
+        line_size: u64,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl NestedLruCache {
+        pub fn new(size_bytes: u64, ways: u32, line_size: u64) -> NestedLruCache {
+            let num_sets = size_bytes / (u64::from(ways) * line_size);
+            let empty = Way {
+                tag: 0,
+                last_used: 0,
+                valid: false,
+            };
+            NestedLruCache {
+                sets: vec![vec![empty; ways as usize]; num_sets as usize],
+                num_sets,
+                line_size,
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn split(&self, addr: TexelAddress) -> (usize, u64) {
+            let line = addr.cache_line(self.line_size);
+            ((line % self.num_sets) as usize, line / self.num_sets)
+        }
+
+        pub fn access(&mut self, addr: TexelAddress) -> bool {
+            self.clock += 1;
+            self.stats.accesses += 1;
+            let (set_idx, tag) = self.split(addr);
+            let set = &mut self.sets[set_idx];
+            if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+                way.last_used = self.clock;
+                self.stats.hits += 1;
+                return true;
+            }
+            if let Some(victim) = set
+                .iter_mut()
+                .min_by_key(|w| if w.valid { w.last_used } else { 0 })
+            {
+                victim.tag = tag;
+                victim.valid = true;
+                victim.last_used = self.clock;
+            }
+            false
+        }
+
+        pub fn probe(&self, addr: TexelAddress) -> bool {
+            let (set_idx, tag) = self.split(addr);
+            self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        }
+
+        pub fn invalidate_line(&mut self, addr: TexelAddress) -> bool {
+            let (set_idx, tag) = self.split(addr);
+            if let Some(way) = self.sets[set_idx]
+                .iter_mut()
+                .find(|w| w.valid && w.tag == tag)
+            {
+                way.valid = false;
+                return true;
+            }
+            false
+        }
+
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+
+        pub fn reset(&mut self) {
+            for set in &mut self.sets {
+                for way in set.iter_mut() {
+                    way.valid = false;
+                }
+            }
+            self.clock = 0;
+            self.stats = CacheStats::default();
+        }
+    }
+}
+
+#[test]
+fn flat_cache_matches_nested_lru_reference() {
+    // (size_bytes, ways, line_size): fully associative 1 × 16, direct
+    // mapped, Table I's L1 and L2, the 4-cluster L2 shard, odd
+    // associativity and small/large lines.
+    let geometries = [
+        (1024, 16, 64),
+        (512, 1, 32),
+        (16 * 1024, 4, 64),
+        (128 * 1024, 8, 64),
+        (32 * 1024, 8, 64),
+        (3 * 8 * 64, 3, 64),
+        (4096, 2, 128),
+        (256, 2, 16),
+    ];
+    let mut rng = DetRng::new(0x9_09);
+    for (size, ways, line) in geometries {
+        for _ in 0..8 {
+            let mut flat = Cache::try_new(size, ways, line).unwrap();
+            let mut oracle = reference::NestedLruCache::new(size, ways, line);
+            // Addresses over ~4× the capacity: a mix of hits, conflict and
+            // capacity misses.
+            let span = 4 * size;
+            let mut hits = 0;
+            for step in 0..2_000 {
+                let addr = TexelAddress::new(rng.range(span));
+                let context = format!("geometry {size}/{ways}/{line}, step {step}");
+                match rng.range(100) {
+                    0..=79 => {
+                        let hit = flat.access(addr);
+                        assert_eq!(hit, oracle.access(addr), "{context}");
+                        hits += u32::from(hit);
+                    }
+                    80..=89 => assert_eq!(flat.probe(addr), oracle.probe(addr), "{context}"),
+                    90..=98 => assert_eq!(
+                        flat.invalidate_line(addr),
+                        oracle.invalidate_line(addr),
+                        "{context}"
+                    ),
+                    _ => {
+                        flat.reset();
+                        oracle.reset();
+                    }
+                }
+                assert_eq!(flat.stats(), oracle.stats(), "{context}");
+            }
+            assert!(hits > 0, "the stream exercised hits");
+        }
+    }
+}
+
 #[test]
 fn dram_latency_positive_and_bounded() {
     let mut rng = DetRng::new(0x9_04);

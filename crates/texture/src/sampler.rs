@@ -105,13 +105,7 @@ pub fn bilinear_addresses(
     let lvl = tex.level(level);
     let x = uv.x * lvl.width() as f32 - 0.5;
     let y = uv.y * lvl.height() as f32 - 0.5;
-    let (x0, y0) = (x.floor() as i64, y.floor() as i64);
-    [
-        tex.texel_address(level, x0, y0, mode),
-        tex.texel_address(level, x0 + 1, y0, mode),
-        tex.texel_address(level, x0, y0 + 1, mode),
-        tex.texel_address(level, x0 + 1, y0 + 1, mode),
-    ]
+    tex.bilinear_quad_addresses(level, x.floor() as i64, y.floor() as i64, mode)
 }
 
 /// Bilinear sample of one mip level: 4 texels, weights from the fractional
@@ -133,23 +127,14 @@ pub fn sample_bilinear(
     let y0 = y.floor();
     let fx = x - x0;
     let fy = y - y0;
-    let (x0, y0) = (x0 as i64, y0 as i64);
-
-    let coords = [(x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)];
-    let weights = [
-        (1.0 - fx) * (1.0 - fy),
-        fx * (1.0 - fy),
-        (1.0 - fx) * fy,
-        fx * fy,
-    ];
-
-    let mut texels = [(Rgba8::BLACK, 0.0f32); 4];
-    let mut addresses = [TexelAddress::default(); 4];
-    for (i, (&(cx, cy), &wgt)) in coords.iter().zip(&weights).enumerate() {
-        texels[i] = (tex.texel(level, cx, cy, mode), wgt);
-        addresses[i] = tex.texel_address(level, cx, cy, mode);
-    }
-    (Rgba8::weighted_sum(&texels), addresses)
+    let ([t00, t10, t01, t11], addresses) = tex.bilinear_quad(level, x0 as i64, y0 as i64, mode);
+    let color = Rgba8::weighted_sum(&[
+        (t00, (1.0 - fx) * (1.0 - fy)),
+        (t10, fx * (1.0 - fy)),
+        (t01, (1.0 - fx) * fy),
+        (t11, fx * fy),
+    ]);
+    (color, addresses)
 }
 
 /// Trilinear sample at a fractional LOD: two bilinear taps on adjacent mip

@@ -73,10 +73,10 @@ impl Rgba8 {
     #[inline]
     pub fn to_f32(self) -> [f32; 4] {
         [
-            f32::from(self.r) / 255.0,
-            f32::from(self.g) / 255.0,
-            f32::from(self.b) / 255.0,
-            f32::from(self.a) / 255.0,
+            UNORM8_TO_F32[self.r as usize],
+            UNORM8_TO_F32[self.g as usize],
+            UNORM8_TO_F32[self.b as usize],
+            UNORM8_TO_F32[self.a as usize],
         ]
     }
 
@@ -97,14 +97,7 @@ impl Rgba8 {
     /// Component-wise weighted blend of many texels. Weights need not sum to
     /// one; the result is the plain weighted sum, clamped on conversion.
     pub fn weighted_sum(texels: &[(Rgba8, f32)]) -> Rgba8 {
-        let mut acc = [0.0f32; 4];
-        for &(t, w) in texels {
-            let c = t.to_f32();
-            for (a, v) in acc.iter_mut().zip(c) {
-                *a += v * w;
-            }
-        }
-        Rgba8::from_f32(acc)
+        Rgba8::accumulate(texels.iter().copied())
     }
 
     /// Averages a non-empty slice of texels.
@@ -115,10 +108,36 @@ impl Rgba8 {
     pub fn average(texels: &[Rgba8]) -> Rgba8 {
         assert!(!texels.is_empty(), "cannot average zero texels");
         let w = 1.0 / texels.len() as f32;
-        let weighted: Vec<(Rgba8, f32)> = texels.iter().map(|&t| (t, w)).collect();
-        Rgba8::weighted_sum(&weighted)
+        Rgba8::accumulate(texels.iter().map(|&t| (t, w)))
+    }
+
+    /// The weighted-sum kernel behind [`Rgba8::weighted_sum`] and
+    /// [`Rgba8::average`]: one fixed accumulation order for both.
+    #[inline]
+    fn accumulate(texels: impl Iterator<Item = (Rgba8, f32)>) -> Rgba8 {
+        let mut acc = [0.0f32; 4];
+        for (t, w) in texels {
+            let c = t.to_f32();
+            for (a, v) in acc.iter_mut().zip(c) {
+                *a += v * w;
+            }
+        }
+        Rgba8::from_f32(acc)
     }
 }
+
+/// `v / 255` for every 8-bit channel value, built with the same `f32`
+/// division [`Rgba8::to_f32`] would otherwise perform per channel, so a
+/// lookup is bit-identical to the arithmetic.
+const UNORM8_TO_F32: [f32; 256] = {
+    let mut table = [0.0f32; 256];
+    let mut v = 0;
+    while v < 256 {
+        table[v] = v as f32 / 255.0;
+        v += 1;
+    }
+    table
+};
 
 impl fmt::Display for Rgba8 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -205,6 +224,14 @@ mod tests {
         for v in [0u8, 1, 127, 128, 254, 255] {
             let c = Rgba8::new(v, v, v, v);
             assert_eq!(Rgba8::from_f32(c.to_f32()), c);
+        }
+    }
+
+    #[test]
+    fn to_f32_table_matches_division() {
+        for v in 0..=255u8 {
+            let c = Rgba8::new(v, v, v, v).to_f32();
+            assert_eq!(c[0].to_bits(), (f32::from(v) / 255.0).to_bits(), "{v}");
         }
     }
 

@@ -24,20 +24,58 @@ impl AddressMode {
     pub fn apply(self, coord: i64, size: u32) -> u32 {
         debug_assert!(size > 0);
         let size = i64::from(size);
+        // Every mode is the identity inside the texture.
+        if (0..size).contains(&coord) {
+            return coord as u32;
+        }
         let folded = match self {
             AddressMode::Wrap => coord.rem_euclid(size),
             AddressMode::Clamp => coord.clamp(0, size - 1),
+            AddressMode::Mirror => mirror(coord.rem_euclid(2 * size), size),
+        };
+        folded as u32
+    }
+
+    /// Folds the adjacent coordinates `coord` and `coord + 1` — one axis of
+    /// a bilinear quad — with at most one `rem_euclid`: the second fold is
+    /// derived from the first. Equal to `(apply(coord), apply(coord + 1))`.
+    #[inline]
+    fn apply_pair(self, coord: i64, size: u32) -> (u32, u32) {
+        debug_assert!(size > 0);
+        let size = i64::from(size);
+        if coord >= 0 && coord < size - 1 {
+            return (coord as u32, coord as u32 + 1);
+        }
+        let (a, b) = match self {
+            AddressMode::Wrap => {
+                let a = coord.rem_euclid(size);
+                (a, if a + 1 == size { 0 } else { a + 1 })
+            }
+            // Outside the fast path `coord` and `coord + 1` clamp to the
+            // same edge texel: 0 when `coord < 0`, else `size - 1`.
+            AddressMode::Clamp => {
+                let a = coord.clamp(0, size - 1);
+                (a, a)
+            }
             AddressMode::Mirror => {
                 let period = 2 * size;
                 let m = coord.rem_euclid(period);
-                if m < size {
-                    m
-                } else {
-                    period - 1 - m
-                }
+                let m1 = if m + 1 == period { 0 } else { m + 1 };
+                (mirror(m, size), mirror(m1, size))
             }
         };
-        folded as u32
+        (a as u32, b as u32)
+    }
+}
+
+/// Maps a position `m` in `[0, 2 * size)` of a mirrored period back into
+/// `[0, size)`.
+#[inline]
+fn mirror(m: i64, size: i64) -> i64 {
+    if m < size {
+        m
+    } else {
+        2 * size - 1 - m
     }
 }
 
@@ -76,6 +114,22 @@ impl MipLevel {
     /// Raw texel slice in row-major order.
     pub fn texels(&self) -> &[Rgba8] {
         &self.data
+    }
+
+    /// Row-major indices of the folded 2×2 quad at `(x0, y0)`, in
+    /// [`Texture::bilinear_quad`] order.
+    #[inline]
+    fn quad_indices(&self, x0: i64, y0: i64, mode: AddressMode) -> [usize; 4] {
+        let (xa, xb) = mode.apply_pair(x0, self.width);
+        let (ya, yb) = mode.apply_pair(y0, self.height);
+        let w = self.width as usize;
+        let (ra, rb) = (ya as usize * w, yb as usize * w);
+        [
+            ra + xa as usize,
+            ra + xb as usize,
+            rb + xa as usize,
+            rb + xb as usize,
+        ]
     }
 }
 
@@ -236,13 +290,60 @@ impl Texture {
     /// The simulated memory address of a texel — what the hardware texel
     /// address ALU produces (Sec. II-B / Fig. 2 of the paper).
     pub fn texel_address(&self, level: u32, x: i64, y: i64, mode: AddressMode) -> TexelAddress {
-        let clamped_level = (level as usize).min(self.levels.len() - 1) as u32;
-        let lvl = self.level(clamped_level);
-        let tx = u64::from(mode.apply(x, lvl.width));
-        let ty = u64::from(mode.apply(y, lvl.height));
-        TexelAddress::new(
-            self.base_address + lvl.offset + (ty * u64::from(lvl.width) + tx) * BYTES_PER_TEXEL,
+        let lvl = self.level(level);
+        let tx = mode.apply(x, lvl.width) as usize;
+        let ty = mode.apply(y, lvl.height) as usize;
+        self.index_address(lvl, ty * lvl.width as usize + tx)
+    }
+
+    /// Values and addresses of the 2×2 bilinear quad whose top-left texel
+    /// is `(x0, y0)`, ordered (x0, y0), (x0 + 1, y0), (x0, y0 + 1),
+    /// (x0 + 1, y0 + 1). Each axis is folded once and each texel's value
+    /// and address come from one shared row-major index; the result equals
+    /// four [`Texture::texel`] plus four [`Texture::texel_address`] calls.
+    ///
+    /// ```
+    /// use patu_texture::{procedural, AddressMode, Texture};
+    /// let tex = Texture::with_mips(procedural::checkerboard(8, 8, 2, 1), 0);
+    /// let (texels, addrs) = tex.bilinear_quad(1, -1, 3, AddressMode::Wrap);
+    /// assert_eq!(texels[1], tex.texel(1, 0, 3, AddressMode::Wrap));
+    /// assert_eq!(addrs[2], tex.texel_address(1, -1, 4, AddressMode::Wrap));
+    /// ```
+    #[inline]
+    pub fn bilinear_quad(
+        &self,
+        level: u32,
+        x0: i64,
+        y0: i64,
+        mode: AddressMode,
+    ) -> ([Rgba8; 4], [TexelAddress; 4]) {
+        let lvl = self.level(level);
+        let idx = lvl.quad_indices(x0, y0, mode);
+        (
+            idx.map(|i| lvl.data[i]),
+            idx.map(|i| self.index_address(lvl, i)),
         )
+    }
+
+    /// The address half of [`Texture::bilinear_quad`], for callers that
+    /// only need the *Texel Address Calculation* output.
+    #[inline]
+    pub fn bilinear_quad_addresses(
+        &self,
+        level: u32,
+        x0: i64,
+        y0: i64,
+        mode: AddressMode,
+    ) -> [TexelAddress; 4] {
+        let lvl = self.level(level);
+        lvl.quad_indices(x0, y0, mode)
+            .map(|i| self.index_address(lvl, i))
+    }
+
+    /// Simulated address of the texel at row-major `index` within `lvl`.
+    #[inline]
+    fn index_address(&self, lvl: &MipLevel, index: usize) -> TexelAddress {
+        TexelAddress::new(self.base_address + lvl.offset + index as u64 * BYTES_PER_TEXEL)
     }
 }
 

@@ -5,8 +5,8 @@
 
 use patu_gmath::{DetRng, Vec2};
 use patu_texture::{
-    procedural, sample_anisotropic, sample_bilinear, sample_trilinear, AddressMode, Footprint,
-    Texture, MAX_ANISO,
+    procedural, sample_anisotropic, sample_bilinear, sample_trilinear, sampler::bilinear_addresses,
+    AddressMode, Footprint, Rgba8, TexelAddress, Texture, MAX_ANISO,
 };
 
 const CASES: usize = 256;
@@ -197,5 +197,134 @@ fn mip_chain_addresses_never_overlap() {
                 }
             }
         }
+    }
+}
+
+/// The per-texel `AddressMode::apply` formulas without the in-range fast
+/// path: the reference the folding shortcuts must reproduce.
+fn reference_fold(mode: AddressMode, coord: i64, size: u32) -> u32 {
+    let size = i64::from(size);
+    let folded = match mode {
+        AddressMode::Wrap => coord.rem_euclid(size),
+        AddressMode::Clamp => coord.clamp(0, size - 1),
+        AddressMode::Mirror => {
+            let m = coord.rem_euclid(2 * size);
+            if m < size {
+                m
+            } else {
+                2 * size - 1 - m
+            }
+        }
+    };
+    folded as u32
+}
+
+/// A coordinate near the texture (edges, one period out) or far outside it.
+fn any_coord(rng: &mut DetRng, size: u32) -> i64 {
+    let size = i64::from(size);
+    match rng.range(3) {
+        0 => rng.range_between(0, 4 * size as u64 + 4) as i64 - 2 * size - 2,
+        1 => rng.range(1 << 40) as i64 - (1 << 39),
+        _ => [-1, 0, size - 2, size - 1, size, 2 * size - 1, 2 * size][rng.range(7) as usize],
+    }
+}
+
+#[test]
+fn address_mode_matches_reference_fold() {
+    let mut rng = DetRng::new(0x7E_0A);
+    for _ in 0..4 * CASES {
+        let size = rng.range_between(1, 300) as u32;
+        let coord = any_coord(&mut rng, size);
+        for mode in [AddressMode::Wrap, AddressMode::Clamp, AddressMode::Mirror] {
+            assert_eq!(
+                mode.apply(coord, size),
+                reference_fold(mode, coord, size),
+                "{mode:?} coord {coord} size {size}"
+            );
+        }
+    }
+}
+
+#[test]
+fn fused_quad_matches_per_texel_lookups() {
+    let mut rng = DetRng::new(0x7E_0B);
+    // 1×1, non-square power-of-two, and non-power-of-two levels (whose mip
+    // chains add odd sizes of their own).
+    let textures = [
+        Texture::with_mips(procedural::checkerboard(1, 1, 1, 3), 0x40),
+        Texture::with_mips(procedural::checkerboard(64, 16, 4, 5), 0x1000),
+        Texture::with_mips(procedural::checkerboard(37, 23, 3, 7), 0x9000),
+        Texture::single_level(procedural::checkerboard(5, 1, 1, 9), 0),
+    ];
+    for tex in &textures {
+        for _ in 0..CASES {
+            let level = rng.range(u64::from(tex.mip_count()) + 1) as u32;
+            let lvl = tex.level(level);
+            let x0 = any_coord(&mut rng, lvl.width());
+            let y0 = any_coord(&mut rng, lvl.height());
+            for mode in [AddressMode::Wrap, AddressMode::Clamp, AddressMode::Mirror] {
+                let coords = [(x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)];
+                let (texels, addrs) = tex.bilinear_quad(level, x0, y0, mode);
+                assert_eq!(tex.bilinear_quad_addresses(level, x0, y0, mode), addrs);
+                for (i, &(x, y)) in coords.iter().enumerate() {
+                    let context = format!("{mode:?} level {level} texel ({x}, {y})");
+                    assert_eq!(texels[i], tex.texel(level, x, y, mode), "{context}");
+                    assert_eq!(addrs[i], tex.texel_address(level, x, y, mode), "{context}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn bilinear_sample_matches_per_texel_reference() {
+    let mut rng = DetRng::new(0x7E_0C);
+    let tex = Texture::with_mips(procedural::checkerboard(37, 23, 3, 7), 0x9000);
+    for _ in 0..CASES {
+        let level = rng.range(u64::from(tex.mip_count())) as u32;
+        // Mostly near the unit square, sometimes many repeats away.
+        let span = if rng.chance(0.25) { 4096.0 } else { 2.0 };
+        let uv = Vec2::new(f32_in(&mut rng, -span, span), f32_in(&mut rng, -span, span));
+        let mode = any_mode(&mut rng);
+
+        let lvl = tex.level(level);
+        let x = uv.x * lvl.width() as f32 - 0.5;
+        let y = uv.y * lvl.height() as f32 - 0.5;
+        let (fx, fy) = (x - x.floor(), y - y.floor());
+        let (x0, y0) = (x.floor() as i64, y.floor() as i64);
+        let coords = [(x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1)];
+        let weights = [
+            (1.0 - fx) * (1.0 - fy),
+            fx * (1.0 - fy),
+            (1.0 - fx) * fy,
+            fx * fy,
+        ];
+        let mut taps = [(Rgba8::BLACK, 0.0f32); 4];
+        for (tap, (&(cx, cy), &w)) in taps.iter_mut().zip(coords.iter().zip(&weights)) {
+            *tap = (tex.texel(level, cx, cy, mode), w);
+        }
+        let expected: Vec<TexelAddress> = coords
+            .iter()
+            .map(|&(cx, cy)| tex.texel_address(level, cx, cy, mode))
+            .collect();
+
+        let (color, addrs) = sample_bilinear(&tex, uv, level, mode);
+        assert_eq!(color, Rgba8::weighted_sum(&taps), "uv {uv:?} {mode:?}");
+        assert_eq!(addrs.to_vec(), expected, "uv {uv:?} {mode:?}");
+        assert_eq!(bilinear_addresses(&tex, uv, level, mode), addrs);
+    }
+}
+
+#[test]
+fn average_matches_uniform_weighted_sum() {
+    let mut rng = DetRng::new(0x7E_0D);
+    for _ in 0..CASES {
+        let n = rng.range_between(1, 17) as usize;
+        let texels: Vec<Rgba8> = (0..n)
+            .map(|_| Rgba8::from(rng.next_u32().to_le_bytes()))
+            .collect();
+        let w = 1.0 / n as f32;
+        let weighted: Vec<(Rgba8, f32)> = texels.iter().map(|&t| (t, w)).collect();
+        assert_eq!(Rgba8::average(&texels), Rgba8::weighted_sum(&weighted));
     }
 }

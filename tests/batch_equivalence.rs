@@ -5,8 +5,9 @@
 //! thread counts and fault injection, plus under foveated threshold
 //! modulation and watchdog degradation.
 //!
-//! Also pins the sampled-MSSIM estimator's error bound against the full
-//! computation on every seed scene (DESIGN.md §13).
+//! Also pins render-level frame digests recorded before the division-free
+//! texel path landed, and the sampled-MSSIM estimator's error bound against
+//! the full computation on every seed scene (DESIGN.md §13).
 
 use patu_core::FilterPolicy;
 use patu_gpu::FaultConfig;
@@ -153,6 +154,133 @@ fn sampled_mssim_error_bounded_on_every_seed_scene() {
                 (sampled - full).abs() <= 0.005,
                 "scene {scene}, seed {seed}: sampled {sampled} vs full {full}"
             );
+        }
+    }
+}
+
+/// FNV-1a digest of a frame's framebuffer bytes followed by the `Debug`
+/// rendering of its `FrameStats` (every counter, histogram bucket and
+/// fault count).
+fn frame_digest(frame: &FrameResult) -> u64 {
+    let pixels = frame
+        .image
+        .pixels()
+        .iter()
+        .flat_map(|p| <[u8; 4]>::from(*p));
+    let stats = format!("{:?}", frame.stats).into_bytes();
+    patu_serve::exec::fnv1a(0, pixels.chain(stats))
+}
+
+/// Frame digests pinned on the pre-optimization texel/cache kernels, one row
+/// per Table II game at 160×120, frame 0. Columns: {Baseline, NoAf,
+/// Patu θ=0.4} × faults {off, uniform(42, 0.02)}.
+const PINNED_DIGESTS: [(&str, [u64; 6]); 7] = [
+    (
+        "hl2",
+        [
+            0x663beffd7b3d352b,
+            0xf92f4536fd693b57,
+            0xda6aa2bbdb7e9b44,
+            0x3899de5aeba190dd,
+            0xcfde4b0d52d2a22b,
+            0x44bddb2faec326ec,
+        ],
+    ),
+    (
+        "doom3",
+        [
+            0x5e695c341cf0e6d9,
+            0x367e64c4def983a7,
+            0xe6136427c76e5996,
+            0x3003ccbd7caef30c,
+            0x74cdcc0a26821a85,
+            0x94cae12b7a4d61b7,
+        ],
+    ),
+    (
+        "grid",
+        [
+            0xce94643a0155ee99,
+            0x5d16fad63f8d589c,
+            0xc7400d8177f5cd1c,
+            0x1cec5fef815dd226,
+            0xdd6830ad09fd3dee,
+            0x86d7f323f78dfa95,
+        ],
+    ),
+    (
+        "nfs",
+        [
+            0xf752c238e4d6c4f3,
+            0xc77f82ea91457eea,
+            0x4ce474e94b047a7b,
+            0x80feb42f113591ef,
+            0xda1d92e0edafe940,
+            0xd302cf54f9294a92,
+        ],
+    ),
+    (
+        "stal",
+        [
+            0xcb8b40dd678ea91b,
+            0xfcad2e3f3ac3d22c,
+            0xed85a0e6b94f1ba6,
+            0x55c727f275b4a548,
+            0xbb23beb2e105bbbb,
+            0x890d6ebfb17caf5f,
+        ],
+    ),
+    (
+        "ut3",
+        [
+            0x77781422d6ab0e7a,
+            0x86014915e71d200f,
+            0xafea953d49828668,
+            0x644fc464312d74b7,
+            0xb32543dd098580fe,
+            0xe936bd30b33efa8a,
+        ],
+    ),
+    (
+        "wolf",
+        [
+            0xa51076a01716edaa,
+            0xb03ab0848c5e92db,
+            0x1c984db8126e1cff,
+            0x6c28eb8fd0bfe69f,
+            0xcd8386607312a398,
+            0x1920e65a89b307a6,
+        ],
+    ),
+];
+
+#[test]
+fn frame_digests_pinned_across_policies_faults_and_threads() {
+    let policies = [
+        FilterPolicy::Baseline,
+        FilterPolicy::NoAf,
+        FilterPolicy::Patu { threshold: 0.4 },
+    ];
+    let fault_modes = [FaultConfig::disabled(), FaultConfig::uniform(42, 0.02)];
+    for (scene, pinned) in PINNED_DIGESTS {
+        let workload = Workload::build(scene, (160, 120)).unwrap();
+        let mut column = 0;
+        for policy in policies {
+            for faults in fault_modes {
+                for threads in [1usize, 4] {
+                    let cfg = RenderConfig::new(policy)
+                        .with_faults(faults)
+                        .with_threads(threads);
+                    let digest = frame_digest(&render_frame(&workload, 0, &cfg).unwrap());
+                    assert_eq!(
+                        digest,
+                        pinned[column],
+                        "scene {scene}, policy {policy:?}, faults {faulty}, threads {threads}",
+                        faulty = !faults.is_disabled()
+                    );
+                }
+                column += 1;
+            }
         }
     }
 }
